@@ -49,6 +49,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzMulFrameMatchesMulVec -fuzztime=10s -run='^$$' ./internal/numeric
 	$(GO) test -fuzz=FuzzMulFrameParallelMatchesSerial -fuzztime=10s -run='^$$' ./internal/numeric
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s -run='^$$' ./internal/artifact
+	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=10s -run='^$$' ./internal/faultinject
+	$(GO) test -fuzz=FuzzSelectRequest -fuzztime=10s -run='^$$' ./internal/api
 
 # bench smoke-runs every benchmark once; use `go test -bench=. -benchmem`
 # for real measurements.

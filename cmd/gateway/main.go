@@ -3,10 +3,11 @@
 // set, batch selections scatter across the world's live owners and gather
 // back in request order, and a sub-request hitting a dead backend fails
 // over to the next replica — selections are deterministic in the world,
-// so failover is invisible to clients. Backends are health-probed; a
-// backend is marked down after consecutive probe failures and re-admitted
-// on recovery, reclaiming its exact key range (cache affinity survives a
-// bounce).
+// so failover is invisible to clients. Each backend has one health state,
+// fed by health probes and by forwarded requests: it goes down after
+// -probe-failures consecutive failures, gets one trial request per
+// -probe-interval while down, and any success re-admits it, reclaiming
+// its exact key range (cache affinity survives a bounce).
 //
 // The gateway serves the same v1 contract as a single backend:
 //
@@ -27,9 +28,10 @@
 //	-vnodes N            virtual nodes per backend on the ring (default 64)
 //	-seed N              routing seed for requests without one; must match
 //	                     the backends' -seed (default 42)
-//	-probe-interval D    health-check period (default 1s)
-//	-probe-failures K    consecutive failures that mark a backend down
-//	                     (default 2)
+//	-probe-interval D    health-check period, and the wait between a
+//	                     down backend's trial requests (default 1s)
+//	-probe-failures K    consecutive probe or request failures that mark
+//	                     a backend down (default 2)
 //	-instance ID         this gateway's X-Instance-Id (default "gateway")
 //	-pprof-addr ADDR     serve net/http/pprof on a dedicated listener
 //	                     (e.g. 127.0.0.1:6061; empty = disabled)
@@ -74,7 +76,6 @@ import (
 
 	"twophase/internal/admission"
 	"twophase/internal/api"
-	"twophase/internal/breaker"
 	"twophase/internal/faultinject"
 	"twophase/internal/shard"
 )
@@ -107,7 +108,7 @@ func main() {
 	flag.IntVar(&cfg.vnodes, "vnodes", shard.DefaultVNodes, "virtual nodes per backend on the ring")
 	flag.Uint64Var(&cfg.seed, "seed", 42, "routing seed for requests without one (must match the backends')")
 	flag.DurationVar(&cfg.probeInterval, "probe-interval", shard.DefaultProbeInterval, "health-check period")
-	flag.IntVar(&cfg.probeFailures, "probe-failures", shard.DefaultProbeThreshold, "consecutive probe failures that mark a backend down")
+	flag.IntVar(&cfg.probeFailures, "probe-failures", shard.DefaultProbeThreshold, "consecutive probe or request failures that mark a backend down")
 	flag.StringVar(&cfg.instance, "instance", "gateway", "this gateway's X-Instance-Id")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.DurationVar(&cfg.shutdownGrace, "shutdown-grace", 15*time.Second, "drain window on SIGTERM/SIGINT")
@@ -189,9 +190,6 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		HTTPClient:      &http.Client{Transport: faultinject.Transport(nil)},
 		HedgePercentile: cfg.hedgePct,
 		AttemptTimeout:  cfg.attemptTimeout,
-		// Seed the half-open admission coin with the routing seed, so a
-		// seeded chaos run re-admits probes in the same order every time.
-		Breaker: breaker.Options{Seed: cfg.seed},
 	})
 	if err != nil {
 		return err
@@ -214,9 +212,8 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 	// alive: healthz answers 503 while the whole fleet is down or still
 	// warming, so a load balancer in front of multiple gateways holds
 	// traffic exactly like one in front of a warming single node. Until
-	// the first probe round lands, membership's optimistic defaults
-	// must not leak out as readiness.
-	members := router.Membership()
+	// the first probe round lands, the optimistic "up" defaults must not
+	// leak out as readiness.
 	// Admission guards the gateway's own front door: requests refused here
 	// never reach a backend, so an overload sheds with a typed 429/503
 	// instead of queueing up against the fleet.
@@ -230,7 +227,7 @@ func run(ctx context.Context, cfg config, ready chan<- string) error {
 		})
 	}
 	handler := api.NewHandlerWith(router, api.HandlerOptions{
-		Ready:     func() bool { return members.Probed() && members.AliveCount() > 0 },
+		Ready:     router.Health().Ready,
 		Instance:  cfg.instance,
 		Admission: ctrl,
 	})

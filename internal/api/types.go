@@ -312,7 +312,8 @@ type GatewayStats struct {
 	Hedges    int64 `json:"hedges,omitempty"`
 	HedgeWins int64 `json:"hedge_wins,omitempty"`
 	// BreakerSkips counts sub-request attempts not even sent because the
-	// target backend's circuit breaker was open.
+	// target backend was down and its one trial per probe interval was
+	// not due.
 	BreakerSkips int64 `json:"breaker_skips,omitempty"`
 	// BackendStats describes each backend in configured order.
 	BackendStats []BackendStats `json:"backend_stats"`
@@ -327,8 +328,9 @@ type BackendStats struct {
 	Alive    bool   `json:"alive"`
 	// DownEvents counts up→down health transitions.
 	DownEvents int64 `json:"down_events"`
-	// Breaker is this backend's circuit-breaker state as the gateway sees
-	// it: "closed", "open" or "half-open".
+	// Breaker renders the same health state as Alive in circuit-breaker
+	// terms: "closed" when up, "open" when down, "half-open" while a down
+	// backend's trial request is out. It never disagrees with Alive.
 	Breaker string `json:"breaker,omitempty"`
 	// Requests counts sub-requests the gateway routed to this backend;
 	// Failures counts the ones that errored (before any failover).

@@ -93,7 +93,8 @@ func (e *Env) Targets(task string) ([]*datahub.Dataset, error) {
 
 // Experiment couples an identifier with its runner.
 type Experiment struct {
-	// ID matches DESIGN.md's experiment index (fig1, tab5, ...).
+	// ID is the experiment's short name (fig1, tab5, ...), as
+	// `experiments -list` prints it.
 	ID string
 	// Paper names the reproduced artifact.
 	Paper string

@@ -359,7 +359,6 @@ func Drained() bool {
 // sites, incompatible actions and malformed numbers are errors.
 func Parse(spec string) (*Injector, error) {
 	inj := &Injector{bySit: make(map[string][]*rule)}
-	seenSeed := false
 	for _, item := range strings.Split(spec, ";") {
 		item = strings.TrimSpace(item)
 		if item == "" {
@@ -371,7 +370,6 @@ func Parse(spec string) (*Injector, error) {
 				return nil, fmt.Errorf("faultinject: bad seed %q: %v", after, err)
 			}
 			inj.seed = n
-			seenSeed = true
 			continue
 		}
 		r, err := parseRule(item)
@@ -384,7 +382,6 @@ func Parse(spec string) (*Injector, error) {
 	if len(inj.rules) == 0 {
 		return nil, fmt.Errorf("faultinject: schedule %q has no rules", spec)
 	}
-	_ = seenSeed // seed 0 is a valid (and the default) schedule seed
 	return inj, nil
 }
 
@@ -402,7 +399,7 @@ func parseRule(item string) (*rule, error) {
 	}
 	if body, prob, ok := cutLast(item, "@"); ok {
 		p, err := strconv.ParseFloat(prob, 64)
-		if err != nil || p <= 0 || p > 1 {
+		if err != nil || !(p > 0 && p <= 1) { // written so NaN fails too
 			return nil, fmt.Errorf("faultinject: bad probability in %q (want (0,1])", item)
 		}
 		r.prob = p
@@ -435,7 +432,7 @@ func parseRule(item string) (*rule, error) {
 			r.dur = d
 		case ActTorn:
 			f, err := strconv.ParseFloat(parts[2], 64)
-			if err != nil || f <= 0 || f >= 1 {
+			if err != nil || !(f > 0 && f < 1) {
 				return nil, fmt.Errorf("faultinject: bad torn fraction in %q (want (0,1))", item)
 			}
 			r.frac = f

@@ -3,7 +3,7 @@
 // model names with their architecture/upstream metadata) and the simulated
 // pre-trained model itself — a frozen nonlinear feature extractor plus a
 // fixed source-label head, which together stand in for a transformer
-// checkpoint (DESIGN.md §2).
+// checkpoint.
 package modelhub
 
 import (

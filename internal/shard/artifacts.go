@@ -10,7 +10,6 @@ import (
 
 	"twophase/internal/api"
 	"twophase/internal/artifact"
-	"twophase/internal/breaker"
 	"twophase/internal/faultinject"
 	"twophase/internal/lifecycle"
 	"twophase/internal/service"
@@ -54,12 +53,18 @@ func OwnedKeys(keys []lifecycle.Key, ring *Ring, self string, replicas int) []li
 // here are exactly the backends whose ring-aware warmup built the world.
 // Self is skipped (a local miss is why the fetcher ran), every document
 // is checksum-verified before it is trusted, and each attempt carries
-// its own timeout. A per-peer circuit breaker cuts off a hanging or
-// corrupt-serving peer so repeated builds don't each re-pay its attempt
-// timeout; a typed "unknown artifact" miss is a healthy answer and never
-// trips it. An error means no live owner had a valid copy; the caller
-// falls back to a local build.
+// its own timeout. The fetcher keeps its own per-peer Health (package
+// defaults, no probe loop) so a hanging or corrupt-serving peer is
+// skipped instead of every build re-paying its attempt timeout; a typed
+// "unknown artifact" miss is a healthy answer and never counts against
+// it. An error means no live owner had a valid copy; the caller falls
+// back to a local build.
 func NewArtifactFetcher(ring *Ring, self string, replicas int, hc *http.Client) func(ctx context.Context, kind, name string) ([]byte, error) {
+	return newArtifactFetcher(ring, self, replicas, hc, newHealth(ring.Nodes(), 0, 0))
+}
+
+// newArtifactFetcher is NewArtifactFetcher over a caller-supplied Health.
+func newArtifactFetcher(ring *Ring, self string, replicas int, hc *http.Client, health *Health) func(ctx context.Context, kind, name string) ([]byte, error) {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
@@ -78,37 +83,35 @@ func NewArtifactFetcher(ring *Ring, self string, replicas int, hc *http.Client) 
 		}
 		return c
 	}
-	breakers := breaker.NewSet(breaker.Options{})
 	return func(ctx context.Context, kind, name string) ([]byte, error) {
 		var lastErr error
 		for _, owner := range ring.Owners(name, replicas) {
 			if owner == self {
 				continue
 			}
-			if !breakers.Allow(owner) {
-				lastErr = fmt.Errorf("%s: %w: artifact fetch circuit open", owner, api.ErrUnavailable)
+			if !health.admit(owner) {
+				lastErr = fmt.Errorf("%s: %w: peer is down", owner, api.ErrUnavailable)
 				continue
 			}
 			data, err := fetchOne(ctx, clientFor(owner), kind, name)
-			if err != nil {
-				// A typed miss is a healthy peer answering "I don't have
-				// it" — only real failures (hangs, resets, corrupt bytes)
-				// count against the circuit.
-				if !errors.Is(err, api.ErrUnknownArtifact) {
-					breakers.Failure(owner)
-				}
-				lastErr = fmt.Errorf("%s: %w", owner, err)
-				continue
-			}
-			if _, err := artifact.Verify(data); err != nil {
+			if err == nil {
 				// A peer serving bytes that fail their own checksum is
 				// broken, not just missing the key.
-				breakers.Failure(owner)
-				lastErr = fmt.Errorf("%s: %w", owner, err)
-				continue
+				_, err = artifact.Verify(data)
 			}
-			breakers.Success(owner)
-			return data, nil
+			switch {
+			case err == nil:
+				health.succeed(owner, "")
+				return data, nil
+			case errors.Is(err, api.ErrUnknownArtifact), ctx.Err() != nil:
+				// A typed miss is a healthy peer answering "I don't have
+				// it", and the caller's own cancellation is not the
+				// peer's fault; only real failures (hangs, resets,
+				// corrupt bytes) count against the peer.
+			default:
+				health.fail(owner)
+			}
+			lastErr = fmt.Errorf("%s: %w", owner, err)
 		}
 		if lastErr != nil {
 			return nil, fmt.Errorf("shard: fetch %s/%s: %w", kind, name, lastErr)

@@ -12,6 +12,7 @@ import (
 	"twophase/internal/artifact"
 	"twophase/internal/core"
 	"twophase/internal/datahub"
+	"twophase/internal/faultinject"
 	"twophase/internal/lifecycle"
 	"twophase/internal/service"
 )
@@ -134,5 +135,65 @@ func TestArtifactFetcher(t *testing.T) {
 	fetch = NewArtifactFetcher(solo, self, 1, nil)
 	if _, err := fetch(ctx, "matrices", "nlp-seed42"); !errors.Is(err, service.ErrNoPeers) {
 		t.Fatalf("solo-owner fetch: %v, want ErrNoPeers", err)
+	}
+}
+
+// TestFetcherFaultSites drives the artifact fetcher through the
+// fetch.request and fetch.body injection sites against a real peer: an
+// injected request error fails that attempt, and an injected body
+// corruption must die at the checksum gate — the fetcher never returns
+// bytes that fail verification.
+func TestFetcherFaultSites(t *testing.T) {
+	svc, err := service.New(service.Options{
+		Base:     core.Options{Seed: 42, Sizes: datahub.Sizes{Train: 60, Val: 40, Test: 48}},
+		StoreDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Do(context.Background(), service.Request{Task: "nlp", Targets: []string{"tweet_eval"}}); err != nil {
+		t.Fatal(err)
+	}
+	peer := httptest.NewServer(api.NewHandlerWith(api.NewDispatcher(svc, 42), api.HandlerOptions{Artifacts: svc.Store()}))
+	defer peer.Close()
+	self := "http://self.invalid"
+	ring, err := NewRing([]string{peer.URL, self}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	// A capped request fault fails the first attempt; with the single
+	// real peer exhausted, the fetch fails typed — and the next fetch
+	// (schedule drained) succeeds.
+	if err := faultinject.Enable("seed=1;fetch.request:err#1"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	fetch := NewArtifactFetcher(ring, self, 2, nil)
+	if _, err := fetch(ctx, "matrices", "nlp-seed42"); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("fetch under request fault = %v, want ErrInjected", err)
+	}
+	data, err := fetch(ctx, "matrices", "nlp-seed42")
+	if err != nil {
+		t.Fatalf("fetch after schedule drained: %v", err)
+	}
+	if _, err := artifact.Verify(data); err != nil {
+		t.Fatalf("fetched document fails verification: %v", err)
+	}
+
+	// A corrupted body must never escape: the checksum gate rejects it,
+	// the peer's health takes the failure, and no bytes are returned.
+	if err := faultinject.Enable("seed=1;fetch.body:corrupt#1"); err != nil {
+		t.Fatal(err)
+	}
+	fetch = NewArtifactFetcher(ring, self, 2, nil)
+	if data, err := fetch(ctx, "matrices", "nlp-seed42"); err == nil {
+		t.Fatalf("corrupted fetch returned %d bytes with nil error", len(data))
+	}
+	if data, err := fetch(ctx, "matrices", "nlp-seed42"); err != nil {
+		t.Fatalf("fetch after corrupt fault drained: %v", err)
+	} else if _, err := artifact.Verify(data); err != nil {
+		t.Fatalf("post-drain document fails verification: %v", err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package shard is the multi-node serving tier: a consistent-hash ring
 // that assigns each (task, seed) world to a stable owner set of backends,
-// health-check-driven membership that tracks which backends are serving,
-// and a routing gateway that scatter-gathers selection batches across the
-// owners with automatic failover.
+// one per-backend health state machine (Health) fed by probes, requests
+// and artifact fetches, and a routing gateway that scatter-gathers
+// selection batches across the owners with automatic failover.
 //
 // The two-phase economics make sharding by world the right cut: the
 // offline build is the expensive part and is cached per (task, seed), so
@@ -35,7 +35,7 @@ func RouteKey(task string, seed uint64) string {
 }
 
 // Ring is an immutable consistent-hash ring over a fixed backend set.
-// Membership changes (a backend going down) do not rebuild the ring:
+// Health changes (a backend going down) do not rebuild the ring:
 // routing skips dead owners at lookup time, so a recovered backend gets
 // its exact key range back — which is the property that preserves cache
 // affinity across a bounce.

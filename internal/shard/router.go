@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"twophase/internal/admission"
 	"twophase/internal/api"
-	"twophase/internal/breaker"
 	"twophase/internal/core"
 )
 
@@ -50,8 +48,10 @@ type RouterOptions struct {
 	// must match the backends' -seed so the gateway routes a defaulted
 	// request to the world the backend will actually serve.
 	Seed uint64
-	// ProbeInterval / ProbeThreshold tune health-check membership
-	// (0 = package defaults).
+	// ProbeInterval / ProbeThreshold tune the per-backend health state
+	// (0 = package defaults): the probe period and the wait between a
+	// down backend's trial requests, and the consecutive probe or
+	// request failures that take a backend down.
 	ProbeInterval  time.Duration
 	ProbeThreshold int
 	// HTTPClient is shared by all backend clients (nil =
@@ -72,11 +72,6 @@ type RouterOptions struct {
 	// attempt timeout and a failover, not the whole deadline_ms. 0 leaves
 	// attempts bounded only by the caller's context.
 	AttemptTimeout time.Duration
-	// Breaker tunes the per-backend circuit breakers (zero value =
-	// package defaults). A backend whose breaker is open is skipped by
-	// scatter and failover until its cooldown admits probes again; health
-	// probe successes also close it directly.
-	Breaker breaker.Options
 }
 
 // backendCounters is one backend's routing ledger (atomics).
@@ -95,17 +90,15 @@ type backendCounters struct {
 // per-target "backend" field reporting who served them).
 type Router struct {
 	ring    *Ring
-	members *Membership
+	health  *Health
 	clients map[string]*api.Client
 	opts    RouterOptions
 
-	counters     map[string]*backendCounters
-	breakers     *breaker.Set
-	failovers    int64 // atomic
-	breakerSkips int64 // atomic: candidates skipped by an open breaker
-	hedges       int64 // atomic: hedged sub-requests fired
-	hedgeWins    int64 // atomic: hedges whose response was the one used
-	latency      *admission.Window
+	counters  map[string]*backendCounters
+	failovers int64 // atomic
+	hedges    int64 // atomic: hedged sub-requests fired
+	hedgeWins int64 // atomic: hedges whose response was the one used
+	latency   *admission.Window
 }
 
 // NewRouter builds a router over a fixed backend set. Start begins health
@@ -126,9 +119,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	r := &Router{
 		ring:     ring,
+		health:   newHealth(opts.Backends, opts.ProbeInterval, opts.ProbeThreshold),
 		clients:  make(map[string]*api.Client, len(opts.Backends)),
 		counters: make(map[string]*backendCounters, len(opts.Backends)),
-		breakers: breaker.NewSet(opts.Breaker),
 		opts:     opts,
 		latency:  admission.NewWindow(DefaultHedgeWindow),
 	}
@@ -140,59 +133,30 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		r.clients[b] = c
 		r.counters[b] = &backendCounters{}
 	}
-	r.members, err = NewMembership(MembershipOptions{
-		Nodes:     opts.Backends,
-		Interval:  opts.ProbeInterval,
-		Threshold: opts.ProbeThreshold,
-		Probe: func(ctx context.Context, node string) (string, error) {
-			h, err := r.clients[node].Healthz(ctx)
-			if err != nil {
-				// A failed probe counts against the breaker too, so a
-				// backend that died between requests opens its circuit
-				// without costing live traffic the discovery.
-				r.breakers.Failure(node)
-				return "", err
-			}
-			// A healthy probe closes the circuit directly — the probe loop
-			// is the re-admission path after a schedule drains.
-			r.breakers.Success(node)
-			return h.Instance, nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
 	return r, nil
 }
 
 // Start launches health probing until ctx is canceled or Close is called.
-func (r *Router) Start(ctx context.Context) { r.members.Start(ctx) }
+// Probes feed the same per-backend state as request outcomes: a backend
+// that died between requests goes down without costing live traffic the
+// discovery, and a healthy probe re-admits a backend after a fault
+// schedule drains.
+func (r *Router) Start(ctx context.Context) {
+	r.health.start(ctx, func(ctx context.Context, node string) (string, error) {
+		h, err := r.clients[node].Healthz(ctx)
+		if err != nil {
+			return "", err
+		}
+		return h.Instance, nil
+	})
+}
 
 // Close stops health probing.
-func (r *Router) Close() { r.members.Close() }
+func (r *Router) Close() { r.health.close() }
 
-// Membership exposes the health tracker (for readiness gates and tests).
-func (r *Router) Membership() *Membership { return r.members }
-
-// Breakers exposes the per-backend circuit breakers (for stats and the
-// chaos harness's reconvergence poll).
-func (r *Router) Breakers() *breaker.Set { return r.breakers }
-
-// admitted filters a candidate list through the circuit breakers,
-// counting skips. An all-open candidate set returns empty; callers
-// surface that as a typed unavailability — the cooldown plus the probe
-// loop re-admit the peers, so the refusal is transient by construction.
-func (r *Router) admitted(candidates []string) []string {
-	out := make([]string, 0, len(candidates))
-	for _, node := range candidates {
-		if r.breakers.Allow(node) {
-			out = append(out, node)
-		} else {
-			atomic.AddInt64(&r.breakerSkips, 1)
-		}
-	}
-	return out
-}
+// Health exposes the per-backend health state (for readiness gates and
+// tests).
+func (r *Router) Health() *Health { return r.health }
 
 // Owners returns the replica owner set for one world, in ring priority
 // order — the routing decision as a pure function, for tests and ops.
@@ -208,33 +172,6 @@ func (r *Router) routeSeed(req *api.SelectRequest) uint64 {
 	return r.opts.Seed
 }
 
-// liveFirst reorders an owner set so alive backends come first, keeping
-// ring priority order within each class, and reports how many lead the
-// list. Scatter spreads work over the alive prefix only (a known-down
-// backend must not cost every batch an inline failover), while failover
-// still walks the whole list: probe state can be stale, and trying a
-// "dead" owner last is the only way a recovered backend gets traffic
-// before its next probe. A fully-dead owner set is returned as-is with
-// alive = len(owners), for the same reason.
-func (r *Router) liveFirst(owners []string) (ordered []string, alive int) {
-	ordered = make([]string, 0, len(owners))
-	for _, o := range owners {
-		if r.members.Alive(o) {
-			ordered = append(ordered, o)
-		}
-	}
-	alive = len(ordered)
-	if alive == 0 {
-		return owners, len(owners)
-	}
-	for _, o := range owners {
-		if !r.members.Alive(o) {
-			ordered = append(ordered, o)
-		}
-	}
-	return ordered, alive
-}
-
 // retryable reports whether a backend failure may succeed on another
 // replica. The contract's own predicate decides for typed errors
 // (unavailable, rate-limited, overloaded are transient; contract
@@ -245,46 +182,73 @@ func retryable(err error) bool {
 	return api.Retryable(err) || api.Code(err) == api.CodeInternal
 }
 
+// shed reports whether err is a backend's typed load shedding: a live
+// process answering "not now" with a Retry-After hint.
+func shed(err error) bool {
+	return errors.Is(err, api.ErrOverloaded) || errors.Is(err, api.ErrRateLimited)
+}
+
+// record folds one forwarded attempt's outcome into the backend's
+// health and routing counters, and reports whether the caller may fail
+// over. Only retryable failures fail over: a deterministic rejection
+// fails identically everywhere, and an error observed after the caller's
+// context died (its own cancellation, or a hedge race loser canceled by
+// the winner) says nothing about the backend. Shedding fails over but
+// does not count against the backend's health: a briefly overloaded
+// fleet must not read as down, which would also fail gateway readiness
+// and pull more traffic onto the backends that are left.
+func (r *Router) record(ctx context.Context, node string, err error) (failover bool) {
+	if err == nil {
+		r.health.succeed(node, "")
+		return false
+	}
+	if !retryable(err) || ctx.Err() != nil {
+		return false
+	}
+	atomic.AddInt64(&r.counters[node].failures, 1)
+	if !shed(err) {
+		r.health.fail(node)
+	}
+	return true
+}
+
 // forward sends one sub-request down a candidate list, failing over on
 // retryable errors. It returns the first success — the serving backend's
 // node URL plus its self-reported instance id — or the terminal error.
 func (r *Router) forward(ctx context.Context, candidates []string, send func(ctx context.Context, c *api.Client) error) (node, instance string, err error) {
-	open := len(candidates)
-	candidates = r.admitted(candidates)
-	open -= len(candidates)
-	if len(candidates) == 0 {
-		return "", "", fmt.Errorf("%w: all %d candidate backends have open circuit breakers", api.ErrUnavailable, open)
-	}
 	var lastErr error
-	for attempt, node := range candidates {
-		if attempt > 0 {
+	tried := 0
+	for _, node := range candidates {
+		if !r.health.admit(node) {
+			continue
+		}
+		if tried++; tried > 1 {
 			atomic.AddInt64(&r.failovers, 1)
 		}
 		atomic.AddInt64(&r.counters[node].requests, 1)
 		var instance string
 		err := send(api.WithInstanceCapture(ctx, &instance), r.clients[node])
-		if err == nil {
-			r.breakers.Success(node)
+		if !r.record(ctx, node, err) {
+			if err != nil {
+				return "", "", err
+			}
 			return node, instance, nil
-		}
-		if !retryable(err) || ctx.Err() != nil {
-			// A deterministic rejection or the caller's own cancellation
-			// is not a backend failure; the counter tracks backend health.
-			return "", "", err
-		}
-		atomic.AddInt64(&r.counters[node].failures, 1)
-		r.breakers.Failure(node)
-		// Feed the failure into membership so the request path and the
-		// probe loop converge on one health view — but only transport
-		// failures: a decoded 5xx body came from a live, reachable
-		// process (one broken target must not flap the whole node down).
-		var ue *url.Error
-		if errors.As(err, &ue) {
-			r.members.ReportFailure(node)
 		}
 		lastErr = err
 	}
-	return "", "", fmt.Errorf("%w: all %d candidate backends failed, last: %v", api.ErrUnavailable, len(candidates), lastErr)
+	return "", "", exhausted(len(candidates), tried, lastErr)
+}
+
+// exhausted is the typed refusal for a candidate list that produced no
+// answer: every admitted backend failed retryably, or none was admitted
+// at all because every one is down and inside its trial wait. Either way
+// it is retryable — the next trial or probe re-admits a recovered
+// backend.
+func exhausted(candidates, tried int, lastErr error) error {
+	if tried == 0 {
+		return fmt.Errorf("%w: all %d candidate backends are down", api.ErrUnavailable, candidates)
+	}
+	return fmt.Errorf("%w: all %d candidate backends failed, last: %v", api.ErrUnavailable, tried, lastErr)
 }
 
 // attempt is one backend's answer to a select sub-request.
@@ -292,36 +256,21 @@ type attempt struct {
 	node, instance string
 	resp           *api.SelectResponse
 	err            error
+	failover       bool // record's verdict: err may succeed on another replica
 }
 
 // attemptOne sends a select sub-request to one backend, recording its
-// routing counters, its latency on success, and its health on transport
-// failure. An error observed after the caller's context died (including a
-// hedge race loser canceled by the winner) is not charged as a backend
-// failure.
+// routing counters, its latency on success, and its health.
 func (r *Router) attemptOne(ctx context.Context, node string, sub *api.SelectRequest) attempt {
 	atomic.AddInt64(&r.counters[node].requests, 1)
 	var instance string
 	start := time.Now()
 	resp, err := r.clients[node].Select(api.WithInstanceCapture(ctx, &instance), sub)
-	if err == nil {
-		r.latency.Observe(time.Since(start))
-		r.breakers.Success(node)
-		return attempt{node: node, instance: instance, resp: resp}
+	if failover := r.record(ctx, node, err); err != nil {
+		return attempt{node: node, err: err, failover: failover}
 	}
-	if retryable(err) && ctx.Err() == nil {
-		atomic.AddInt64(&r.counters[node].failures, 1)
-		r.breakers.Failure(node)
-		// Feed the failure into membership so the request path and the
-		// probe loop converge on one health view — but only transport
-		// failures: a decoded 5xx body came from a live, reachable
-		// process (one broken target must not flap the whole node down).
-		var ue *url.Error
-		if errors.As(err, &ue) {
-			r.members.ReportFailure(node)
-		}
-	}
-	return attempt{node: node, err: err}
+	r.latency.Observe(time.Since(start))
+	return attempt{node: node, instance: instance, resp: resp}
 }
 
 // hedgeDelay reports the armed hedging trigger: the fleet's recent p-th
@@ -334,13 +283,14 @@ func (r *Router) hedgeDelay() (time.Duration, bool) {
 	return r.latency.Percentile(r.opts.HedgePercentile)
 }
 
-// hedgedPair races primary against secondary: the secondary fires only
-// when the primary is still in flight past `delay`. The first success
-// wins and the loser's request is canceled, so the caller always gets
-// exactly one report — replicas are bit-identical for the same request,
-// which is what makes racing them safe. launched reports whether the
-// hedge actually fired (the pair then consumed both candidates).
-func (r *Router) hedgedPair(ctx context.Context, primary, secondary string, delay time.Duration, sub *api.SelectRequest) (res attempt, launched bool) {
+// hedgedPair races primary against a secondary: when the primary is
+// still in flight past `delay`, next picks the secondary (admitting it
+// only now, so a down backend's trial is never spent on a hedge that does
+// not fire) and both race. The first success wins and the loser's request
+// is canceled, so the caller always gets exactly one report — replicas
+// are bit-identical for the same request, which is what makes racing
+// them safe.
+func (r *Router) hedgedPair(ctx context.Context, primary string, delay time.Duration, sub *api.SelectRequest, next func() string) attempt {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan attempt, 2) // buffered: the loser must never block
@@ -349,69 +299,75 @@ func (r *Router) hedgedPair(ctx context.Context, primary, secondary string, dela
 	defer timer.Stop()
 
 	var first attempt
+	var secondary string // set once the hedge fires
 	select {
 	case first = <-ch:
 	case <-timer.C:
-		atomic.AddInt64(&r.hedges, 1)
-		launched = true
-		go func() { ch <- r.attemptOne(hctx, secondary, sub) }()
+		if secondary = next(); secondary != "" {
+			atomic.AddInt64(&r.hedges, 1)
+			go func() { ch <- r.attemptOne(hctx, secondary, sub) }()
+		}
 		first = <-ch
 	}
 	if first.err == nil {
-		if launched && first.node == secondary {
+		if first.node == secondary {
 			atomic.AddInt64(&r.hedgeWins, 1)
 		}
-		return first, launched
+		return first
 	}
-	if launched {
+	if secondary != "" {
 		// The first finisher failed; the race's other leg may still win.
 		if second := <-ch; second.err == nil {
 			if second.node == secondary {
 				atomic.AddInt64(&r.hedgeWins, 1)
 			}
-			return second, launched
+			return second
 		}
 	}
-	return first, launched
+	return first
 }
 
 // forwardSelect drives one select sub-request down a candidate list:
 // failover on retryable errors, plus hedged pairs when the latency
 // window arms them. Hedge traffic is not a failover — the failover
 // counter keeps meaning "a backend failed and another answered".
+// Candidates are admitted one at a time, as the request reaches them, so
+// a down backend's one trial per interval always carries a request.
 func (r *Router) forwardSelect(ctx context.Context, candidates []string, sub *api.SelectRequest) attempt {
-	open := len(candidates)
-	candidates = r.admitted(candidates)
-	open -= len(candidates)
-	if len(candidates) == 0 {
-		return attempt{err: fmt.Errorf("%w: all %d candidate backends have open circuit breakers", api.ErrUnavailable, open)}
-	}
 	var lastErr error
-	for i := 0; i < len(candidates); i++ {
-		if i > 0 {
+	tried := 0
+	// next admits the first candidate after the last one consumed.
+	i := -1
+	next := func() string {
+		for i++; i < len(candidates); i++ {
+			if r.health.admit(candidates[i]) {
+				tried++
+				return candidates[i]
+			}
+		}
+		return ""
+	}
+	for node := next(); node != ""; node = next() {
+		if tried > 1 {
 			atomic.AddInt64(&r.failovers, 1)
 		}
 		var res attempt
 		if delay, ok := r.hedgeDelay(); ok && i+1 < len(candidates) {
-			var launched bool
-			res, launched = r.hedgedPair(ctx, candidates[i], candidates[i+1], delay, sub)
-			if launched {
-				i++ // the pair consumed the next candidate too
-			}
+			res = r.hedgedPair(ctx, node, delay, sub, next)
 		} else {
-			res = r.attemptOne(ctx, candidates[i], sub)
+			res = r.attemptOne(ctx, node, sub)
 		}
 		if res.err == nil {
 			return res
 		}
-		if !retryable(res.err) || ctx.Err() != nil {
+		if !res.failover {
 			// A deterministic rejection or the caller's own cancellation
 			// is not a backend failure.
 			return attempt{err: res.err}
 		}
 		lastErr = res.err
 	}
-	return attempt{err: fmt.Errorf("%w: all %d candidate backends failed, last: %v", api.ErrUnavailable, len(candidates), lastErr)}
+	return attempt{err: exhausted(len(candidates), tried, lastErr)}
 }
 
 // subResult is one scattered sub-request's outcome.
@@ -438,17 +394,16 @@ func (r *Router) Select(ctx context.Context, req *api.SelectRequest) (*api.Selec
 		return nil, err
 	}
 	seed := r.routeSeed(req)
-	owners, alive := r.liveFirst(r.Owners(req.Task, seed))
+	owners, alive := r.health.upFirst(r.Owners(req.Task, seed))
 
 	// Scatter: slice the batch across the world's live owners. Every
 	// owner holds (or will build) the same world, so spreading a batch
 	// over the replica set parallelizes the online phase across machines
 	// without costing any extra offline builds. Target order inside each
-	// slice, and slice-to-owner assignment, are deterministic.
-	fanout := alive
-	if fanout > len(req.Targets) {
-		fanout = len(req.Targets)
-	}
+	// slice, and slice-to-owner assignment, are deterministic. With every
+	// owner down the batch stays whole, so one slice takes whichever
+	// owner's trial is due.
+	fanout := min(max(alive, 1), len(req.Targets))
 	groups := make([]subResult, fanout)
 	for i := range req.Targets {
 		g := &groups[i%fanout]
@@ -564,7 +519,7 @@ func (r *Router) Targets(ctx context.Context, task string) (*api.TargetsResponse
 		return nil, fmt.Errorf("%w: missing task", api.ErrBadRequest)
 	}
 	var resp *api.TargetsResponse
-	owners, _ := r.liveFirst(r.Owners(task, r.opts.Seed))
+	owners, _ := r.health.upFirst(r.Owners(task, r.opts.Seed))
 	_, _, err := r.forward(ctx, owners, func(ctx context.Context, c *api.Client) error {
 		var err error
 		resp, err = c.Targets(ctx, task)
@@ -579,14 +534,13 @@ func (r *Router) Targets(ctx context.Context, task string) (*api.TargetsResponse
 // Stats implements api.API: fleet-wide sums at the top level plus the
 // gateway's ring shape, routing counters and per-backend detail.
 func (r *Router) Stats(ctx context.Context) (*api.Stats, error) {
-	snap := r.members.Snapshot()
-	breakers := r.breakers.Snapshot()
+	snap, skips := r.health.snapshot()
 	g := &api.GatewayStats{
 		Backends:     len(r.opts.Backends),
 		VNodes:       r.ring.VNodes(),
 		Replicas:     r.opts.Replicas,
 		Failovers:    atomic.LoadInt64(&r.failovers),
-		BreakerSkips: atomic.LoadInt64(&r.breakerSkips),
+		BreakerSkips: skips,
 		Hedges:       atomic.LoadInt64(&r.hedges),
 		HedgeWins:    atomic.LoadInt64(&r.hedgeWins),
 		BackendStats: make([]api.BackendStats, len(snap)),
@@ -599,22 +553,16 @@ func (r *Router) Stats(ctx context.Context) (*api.Stats, error) {
 	ctx, cancel := context.WithTimeout(ctx, statsTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
-	for i, ns := range snap {
+	for i, ps := range snap {
 		bs := &g.BackendStats[i]
-		bs.URL = ns.Node
-		bs.Instance = ns.Instance
-		bs.Alive = ns.Alive
-		bs.DownEvents = ns.DownEvents
-		if st, ok := breakers[ns.Node]; ok {
-			bs.Breaker = st
-		} else {
-			// No traffic has touched this backend's breaker yet; report
-			// the state a fresh breaker would have.
-			bs.Breaker = breaker.Closed.String()
-		}
-		bs.Requests = atomic.LoadInt64(&r.counters[ns.Node].requests)
-		bs.Failures = atomic.LoadInt64(&r.counters[ns.Node].failures)
-		if ns.Alive {
+		bs.URL = ps.node
+		bs.Instance = ps.instance
+		bs.Alive = ps.alive
+		bs.DownEvents = ps.downEvents
+		bs.Breaker = ps.breaker
+		bs.Requests = atomic.LoadInt64(&r.counters[ps.node].requests)
+		bs.Failures = atomic.LoadInt64(&r.counters[ps.node].failures)
+		if ps.alive {
 			g.Alive++
 			wg.Add(1)
 			go func(node string, bs *api.BackendStats) {
@@ -622,7 +570,7 @@ func (r *Router) Stats(ctx context.Context) (*api.Stats, error) {
 				if st, err := r.clients[node].Stats(ctx); err == nil {
 					bs.Stats = st
 				}
-			}(ns.Node, bs)
+			}(ps.node, bs)
 		}
 	}
 	wg.Wait()

@@ -117,7 +117,7 @@ func newStubFleet(t *testing.T, n int, opts RouterOptions) (*Router, []*stubBack
 	t.Cleanup(r.Close)
 	waitCtx, waitCancel := context.WithTimeout(ctx, 5*time.Second)
 	defer waitCancel()
-	if err := r.Membership().WaitProbed(waitCtx); err != nil {
+	if err := r.Health().WaitProbed(waitCtx); err != nil {
 		t.Fatal(err)
 	}
 	return r, backends
@@ -241,7 +241,7 @@ func TestRouterFailover(t *testing.T) {
 
 	// The probe loop converges on the dead backend.
 	deadline := time.After(5 * time.Second)
-	for r.Membership().Alive(owners[0]) {
+	for r.Health().Alive(owners[0]) {
 		select {
 		case <-deadline:
 			t.Fatal("dead backend never marked down")
@@ -396,7 +396,7 @@ func TestRouterTargetsAndStats(t *testing.T) {
 func TestRouterOverHTTP(t *testing.T) {
 	r, _ := newStubFleet(t, 2, RouterOptions{Replicas: 2, Seed: 42})
 	gw := httptest.NewServer(api.NewHandlerWith(r, api.HandlerOptions{
-		Ready:    func() bool { return r.Membership().AliveCount() > 0 },
+		Ready:    func() bool { return r.Health().AliveCount() > 0 },
 		Instance: "gw-test",
 	}))
 	defer gw.Close()

@@ -92,26 +92,6 @@ func unslug(base string) string {
 	return r.Replace(n)
 }
 
-// legacySlug is the pre-escaping encoding ("/"→"__", " "→"_"), kept so
-// stores written by older binaries stay readable: read falls back to it
-// on a miss, and write removes the legacy file once the artifact exists
-// under its collision-safe name.
-func legacySlug(name string) string {
-	r := strings.NewReplacer("/", "__", " ", "_")
-	return r.Replace(name) + ".json"
-}
-
-// legacyOnly reports whether a file name could only have been written by
-// the legacy encoding. New-format file names round-trip unslug→slug
-// exactly; a name that doesn't (a bare "_" outside a "__" pair, an
-// unescaped "%") must be a legacy artifact. Files that are valid under
-// both encodings (e.g. "a__b.json" is legacy "a__b" and new-format
-// "a/b") are treated as new-format, matching how list decodes them.
-func legacyOnly(file string) bool {
-	base := strings.TrimSuffix(file, ".json")
-	return slug(unslug(base)) != file
-}
-
 // isNotExist reports that a path truly has no file behind it: ENOENT, or
 // ENOTDIR (a parent path component is not a directory — e.g. a broken
 // store volume), as opposed to transient failures like permission or I/O
@@ -213,15 +193,6 @@ func (s *Store) write(kind, name string, v interface{}) error {
 	if err := writeFile(filepath.Join(s.dir, kind, slug(name)), data); err != nil {
 		return err
 	}
-	// Migrate away from the ambiguous legacy encoding: with the artifact
-	// safely under its collision-safe name, a leftover legacy file would
-	// only shadow stale data and duplicate list entries. Only delete
-	// files the new encoding could never produce — otherwise the
-	// "legacy" path is some other name's current artifact, e.g.
-	// legacySlug("a__b") == slug("a/b").
-	if legacy := legacySlug(name); legacy != slug(name) && legacyOnly(legacy) {
-		os.Remove(filepath.Join(s.dir, kind, legacy))
-	}
 	// A stale binary sibling would shadow this JSON document on the next
 	// read; JSON writes only happen when the binary encoder refused the
 	// value, so the sibling is the older artifact.
@@ -230,8 +201,8 @@ func (s *Store) write(kind, name string, v interface{}) error {
 }
 
 // writeBinary atomically installs an already-encoded binary artifact and
-// migrates away from its JSON (and legacy-JSON) siblings, which would
-// otherwise go stale silently.
+// migrates away from its JSON sibling, which would otherwise go stale
+// silently.
 func (s *Store) writeBinary(kind, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,9 +210,6 @@ func (s *Store) writeBinary(kind, name string, data []byte) error {
 		return err
 	}
 	os.Remove(filepath.Join(s.dir, kind, slug(name)))
-	if legacy := legacySlug(name); legacy != slug(name) && legacyOnly(legacy) {
-		os.Remove(filepath.Join(s.dir, kind, legacy))
-	}
 	return nil
 }
 
@@ -255,16 +223,6 @@ func (s *Store) read(kind, name string, v interface{}) error {
 		}
 		path := filepath.Join(s.dir, kind, file)
 		data, err := os.ReadFile(path)
-		if isNotExist(err) {
-			// Stores written by older binaries used the legacy encoding; fall
-			// back only when that file couldn't be another name's current
-			// artifact under the new encoding.
-			if legacy := legacySlug(name); legacy != slug(name) && legacyOnly(legacy) {
-				file = legacy
-				path = filepath.Join(s.dir, kind, legacy)
-				data, err = os.ReadFile(path)
-			}
-		}
 		switch {
 		case err == nil:
 		case isNotExist(err):

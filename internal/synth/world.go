@@ -1,5 +1,5 @@
 // Package synth implements the synthetic transfer-learning world that
-// substitutes for the paper's HuggingFace substrate (see DESIGN.md §2).
+// substitutes for the paper's HuggingFace substrate.
 //
 // The world assigns every semantic domain ("nli", "sentiment",
 // "natural-img", ...) a low-dimensional basis inside the shared input
