@@ -154,8 +154,8 @@ func TestFingerprintIsProvenance(t *testing.T) {
 }
 
 // TestEncodeMatrixRejectsRagged: matrices with missing entries or
-// short curves must refuse binary encoding (the store falls back to
-// JSON) rather than silently drop data.
+// short curves must refuse binary encoding (the store returns the
+// error) rather than silently drop data.
 func TestEncodeMatrixRejectsRagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := testMatrix(rng, 2, 2, 3)

@@ -27,6 +27,18 @@ func cacheFixture(t *testing.T) (*Model, *datahub.Dataset) {
 	return m, d
 }
 
+// FeatureBatch extracts features example by example through the
+// single-vector path. It is the reference implementation the batched
+// frame kernels are compared against bit for bit; it allocates one row
+// per example, so production code uses FeatureFrame instead.
+func (m *Model) FeatureBatch(xs [][]float64) [][]float64 {
+	out := make([][]float64, len(xs))
+	for i, x := range xs {
+		out[i] = m.Features(x)
+	}
+	return out
+}
+
 // TestFeatureFrameMatchesFeaturesBitwise pins the tentpole invariant: the
 // batched frame extractor must agree with the historical per-example
 // path exactly — not approximately — on every element.

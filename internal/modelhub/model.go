@@ -183,19 +183,6 @@ func (m *Model) Features(x []float64) []float64 {
 	return out
 }
 
-// FeatureBatch extracts features example by example through the
-// single-vector path. It is the historical reference implementation —
-// kept alive so bit-identity tests can compare the batched frame kernels
-// against it — and allocates one row per example; hot paths use
-// FeatureFrame instead.
-func (m *Model) FeatureBatch(xs [][]float64) [][]float64 {
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = m.Features(x)
-	}
-	return out
-}
-
 // FeatureFrame extracts features for every row of x through the batched
 // frame kernels, caching the result by input-frame identity. The returned
 // frame is shared and read-only: callers must not write through its rows.

@@ -7,9 +7,7 @@ package perfmatrix
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 
 	"twophase/internal/datahub"
@@ -184,29 +182,4 @@ func (m *Matrix) ValCurves(model string) (val [][]float64, finalTest []float64, 
 		finalTest = append(finalTest, e.FinalTest())
 	}
 	return val, finalTest, nil
-}
-
-// Save writes the matrix as JSON to path.
-func (m *Matrix) Save(path string) error {
-	data, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return fmt.Errorf("perfmatrix: marshal: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("perfmatrix: write %s: %w", path, err)
-	}
-	return nil
-}
-
-// Load reads a matrix previously written by Save.
-func Load(path string) (*Matrix, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("perfmatrix: read %s: %w", path, err)
-	}
-	var m Matrix
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("perfmatrix: parse %s: %w", path, err)
-	}
-	return &m, nil
 }

@@ -102,7 +102,7 @@ type ArtifactFetcher func(ctx context.Context, kind, name string) ([]byte, error
 var ErrNoPeers = errors.New("service: no remote artifact owners")
 
 // ArtifactStats counts the artifact-resolution outcomes of Service.load:
-// local binary/JSON store hits, worlds fetched from ring peers, failed
+// local store hits, worlds fetched from ring peers, failed
 // fetch attempts, and offline builds that ran because both tiers missed.
 type ArtifactStats struct {
 	// Hits counts worlds assembled from the local artifact store.
@@ -315,9 +315,9 @@ func (s *Service) DegradedStats() DegradedStats {
 func (s *Service) Panics() int64 { return atomic.LoadInt64(&s.panics) }
 
 // loadWorld resolves a framework through the artifact tiers: the local
-// store first (binary artifacts, with JSON fallback inside the store),
-// then — when a fetcher is configured — the world's fleet peers, and only
-// then the offline build (whose artifacts persist for the next process).
+// store's binary artifacts first, then — when a fetcher is configured —
+// the world's fleet peers, and only then the offline build (whose
+// artifacts persist for the next process).
 // With both the matrix and the clustering artifact at hand, a warm start
 // recomputes neither — zero fine-tuning runs and zero clustering passes.
 //

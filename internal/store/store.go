@@ -7,11 +7,9 @@
 //
 // Specs (models, datasets) are small JSON documents. The heavy world
 // artifacts — performance matrices, recall artifacts and feature frames —
-// persist in the binary internal/artifact format (checksummed headers,
-// raw float64 payloads) with transparent JSON fallback: a store written
-// by an older binary still reads, and the first read migrates the
-// artifact to its binary form. The store is a directory with an in-memory
-// index; it is safe for concurrent readers and single-writer use.
+// persist only in the binary internal/artifact format (checksummed
+// headers, raw float64 payloads). The store is a directory; it is safe
+// for concurrent readers and single-writer use.
 package store
 
 import (
@@ -35,11 +33,10 @@ import (
 	"twophase/internal/recall"
 )
 
-// ErrNotFound marks an artifact that is truly absent from the store — no
-// binary file, no JSON fallback. Callers rebuild (or fetch from a ring
-// peer) only on this error; transient read failures (permissions, I/O)
-// propagate unwrapped so they never silently trigger an expensive
-// rebuild.
+// ErrNotFound marks an artifact that is truly absent from the store.
+// Callers rebuild (or fetch from a ring peer) only on this error;
+// transient read failures (permissions, I/O) propagate unwrapped so they
+// never silently trigger an expensive rebuild.
 var ErrNotFound = errors.New("store: artifact not found")
 
 // ErrCorrupt marks an artifact that exists but cannot be decoded — a
@@ -190,27 +187,35 @@ func (s *Store) write(kind, name string, v interface{}) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal %s/%s: %w", kind, name, err)
 	}
-	if err := writeFile(filepath.Join(s.dir, kind, slug(name)), data); err != nil {
-		return err
-	}
-	// A stale binary sibling would shadow this JSON document on the next
-	// read; JSON writes only happen when the binary encoder refused the
-	// value, so the sibling is the older artifact.
-	os.Remove(filepath.Join(s.dir, kind, binSlug(name)))
-	return nil
+	return writeFile(filepath.Join(s.dir, kind, slug(name)), data)
 }
 
-// writeBinary atomically installs an already-encoded binary artifact and
-// migrates away from its JSON sibling, which would otherwise go stale
-// silently.
+// writeBinary atomically installs an already-encoded binary artifact.
 func (s *Store) writeBinary(kind, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := writeFile(filepath.Join(s.dir, kind, binSlug(name)), data); err != nil {
-		return err
+	return writeFile(filepath.Join(s.dir, kind, binSlug(name)), data)
+}
+
+// putBinary encodes v and installs it under kind/name. An encoder refusal
+// (a ragged matrix, say) is returned as is: nothing is written.
+func putBinary[T any](s *Store, kind, name string, v T, encode func(T) ([]byte, error)) error {
+	data, err := encode(v)
+	if err != nil {
+		return fmt.Errorf("store: encode %s/%s: %w", kind, name, err)
 	}
-	os.Remove(filepath.Join(s.dir, kind, slug(name)))
-	return nil
+	return s.writeBinary(kind, name, data)
+}
+
+// getBinary decodes kind/name from its mapped binary encoding.
+func getBinary[T any](s *Store, kind, name string, decode func([]byte) (T, error)) (T, error) {
+	var v T
+	err := s.withBinary(kind, name, func(data []byte) error {
+		var derr error
+		v, derr = decode(data)
+		return derr
+	})
+	return v, err
 }
 
 func (s *Store) read(kind, name string, v interface{}) error {
@@ -273,30 +278,24 @@ func (s *Store) withBinary(kind, name string, fn func(data []byte) error) error 
 	return err
 }
 
+// list returns the sorted names stored under kind: the files carrying
+// that kind's one extension (".bin" for binary artifacts, ".json" for
+// specs). Anything else in the directory is not an artifact of the kind.
 func (s *Store) list(kind string) ([]string, error) {
+	ext := ".json"
+	if _, ok := artifactKinds[kind]; ok {
+		ext = ".bin"
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	entries, err := os.ReadDir(filepath.Join(s.dir, kind))
 	if err != nil {
 		return nil, fmt.Errorf("store: list %s: %w", kind, err)
 	}
-	seen := make(map[string]bool)
 	var names []string
 	for _, e := range entries {
-		n := e.Name()
-		var base string
-		switch {
-		case strings.HasSuffix(n, ".json"):
-			base = strings.TrimSuffix(n, ".json")
-		case strings.HasSuffix(n, ".bin"):
-			base = strings.TrimSuffix(n, ".bin")
-		default:
-			continue
-		}
-		name := unslug(base)
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
+		if base, ok := strings.CutSuffix(e.Name(), ext); ok {
+			names = append(names, unslug(base))
 		}
 	}
 	sort.Strings(names)
@@ -357,41 +356,16 @@ func (s *Store) GetDataset(name string) (datahub.Spec, error) {
 func (s *Store) ListDatasets() ([]string, error) { return s.list("datasets") }
 
 // PutMatrix persists a performance matrix under a name (e.g. "nlp") in
-// the binary artifact format. A matrix the binary encoder refuses (ragged
-// entries) falls back to JSON, so nothing is ever unpersistable.
+// the binary artifact format. A matrix the encoder refuses (ragged
+// entries) is an error and leaves no file behind.
 func (s *Store) PutMatrix(name string, m *perfmatrix.Matrix) error {
-	data, err := artifact.EncodeMatrix(m)
-	if err != nil {
-		return s.write("matrices", name, m)
-	}
-	return s.writeBinary("matrices", name, data)
+	return putBinary(s, "matrices", name, m, artifact.EncodeMatrix)
 }
 
-// GetMatrix retrieves a performance matrix by name: binary first, JSON
-// fallback for stores written by older binaries (the read migrates the
-// artifact to binary, best-effort). A missing matrix is ErrNotFound; an
-// undecodable one is ErrCorrupt naming the file.
+// GetMatrix retrieves a performance matrix by name. A missing matrix is
+// ErrNotFound; an undecodable one is ErrCorrupt naming the file.
 func (s *Store) GetMatrix(name string) (*perfmatrix.Matrix, error) {
-	var m *perfmatrix.Matrix
-	err := s.withBinary("matrices", name, func(data []byte) error {
-		var derr error
-		m, derr = artifact.DecodeMatrix(data)
-		return derr
-	})
-	if err == nil {
-		return m, nil
-	}
-	if !errors.Is(err, ErrNotFound) {
-		return nil, err
-	}
-	var jm perfmatrix.Matrix
-	if jerr := s.read("matrices", name, &jm); jerr != nil {
-		return nil, jerr
-	}
-	if data, eerr := artifact.EncodeMatrix(&jm); eerr == nil {
-		_ = s.writeBinary("matrices", name, data)
-	}
-	return &jm, nil
+	return getBinary(s, "matrices", name, artifact.DecodeMatrix)
 }
 
 // ListMatrices returns all stored matrix names, sorted.
@@ -399,65 +373,28 @@ func (s *Store) ListMatrices() ([]string, error) { return s.list("matrices") }
 
 // PutRecall persists the clustering-stage artifact of the offline pipeline
 // under a name (conventionally the same key as the matrix it derives
-// from), in the binary artifact format with JSON fallback.
+// from), in the binary artifact format.
 func (s *Store) PutRecall(name string, a *recall.Artifact) error {
-	data, err := artifact.EncodeRecall(a)
-	if err != nil {
-		return s.write("recalls", name, a)
-	}
-	return s.writeBinary("recalls", name, data)
+	return putBinary(s, "recalls", name, a, artifact.EncodeRecall)
 }
 
-// GetRecall retrieves a clustering-stage artifact by name (binary first,
-// JSON fallback with best-effort migration, like GetMatrix).
+// GetRecall retrieves a clustering-stage artifact by name, with
+// GetMatrix's error contract.
 func (s *Store) GetRecall(name string) (*recall.Artifact, error) {
-	var a *recall.Artifact
-	err := s.withBinary("recalls", name, func(data []byte) error {
-		var derr error
-		a, derr = artifact.DecodeRecall(data)
-		return derr
-	})
-	if err == nil {
-		return a, nil
-	}
-	if !errors.Is(err, ErrNotFound) {
-		return nil, err
-	}
-	var ja recall.Artifact
-	if jerr := s.read("recalls", name, &ja); jerr != nil {
-		return nil, jerr
-	}
-	if data, eerr := artifact.EncodeRecall(&ja); eerr == nil {
-		_ = s.writeBinary("recalls", name, data)
-	}
-	return &ja, nil
+	return getBinary(s, "recalls", name, artifact.DecodeRecall)
 }
 
 // ListRecalls returns all stored recall-artifact names, sorted.
 func (s *Store) ListRecalls() ([]string, error) { return s.list("recalls") }
 
-// PutFrame persists a numeric feature frame. Frames are binary-only —
-// they never had a JSON schema to stay compatible with.
+// PutFrame persists a numeric feature frame in the binary artifact format.
 func (s *Store) PutFrame(name string, f *numeric.Frame) error {
-	data, err := artifact.EncodeFrame(f)
-	if err != nil {
-		return err
-	}
-	return s.writeBinary("frames", name, data)
+	return putBinary(s, "frames", name, f, artifact.EncodeFrame)
 }
 
 // GetFrame retrieves a numeric feature frame by name.
 func (s *Store) GetFrame(name string) (*numeric.Frame, error) {
-	var f *numeric.Frame
-	err := s.withBinary("frames", name, func(data []byte) error {
-		var derr error
-		f, derr = artifact.DecodeFrame(data)
-		return derr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return getBinary(s, "frames", name, artifact.DecodeFrame)
 }
 
 // ListFrames returns all stored frame names, sorted.
@@ -473,47 +410,25 @@ var artifactKinds = map[string]artifact.Kind{
 
 // OpenArtifact returns the verified binary encoding of an artifact plus
 // its input fingerprint — the payload of GET /v1/artifacts/{kind}/{name}.
-// An artifact that only exists as JSON (older store) is migrated to
-// binary on the way out, so a fleet peer can always fetch it. Unknown
-// kinds and missing artifacts are ErrNotFound; a failed checksum is
-// ErrCorrupt.
-func (s *Store) OpenArtifact(kind, name string) ([]byte, uint64, error) {
+// Unknown kinds and missing artifacts are ErrNotFound; a failed checksum
+// is ErrCorrupt.
+func (s *Store) OpenArtifact(kind, name string) (data []byte, fp uint64, err error) {
 	k, ok := artifactKinds[kind]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: kind %q", ErrNotFound, kind)
 	}
-	open := func() (data []byte, fp uint64, err error) {
-		err = s.withBinary(kind, name, func(mapped []byte) error {
-			h, verr := artifact.Verify(mapped)
-			if verr != nil {
-				return verr
-			}
-			if h.Kind != k {
-				return fmt.Errorf("kind %s under %s/", h.Kind, kind)
-			}
-			data = append([]byte(nil), mapped...)
-			fp = h.Fingerprint
-			return nil
-		})
-		return data, fp, err
-	}
-	data, fp, err := open()
-	if errors.Is(err, ErrNotFound) {
-		// Trigger the JSON-fallback migration, then retry the binary path.
-		var merr error
-		switch kind {
-		case "matrices":
-			_, merr = s.GetMatrix(name)
-		case "recalls":
-			_, merr = s.GetRecall(name)
-		default:
-			merr = err
+	err = s.withBinary(kind, name, func(mapped []byte) error {
+		h, verr := artifact.Verify(mapped)
+		if verr != nil {
+			return verr
 		}
-		if merr != nil {
-			return nil, 0, err
+		if h.Kind != k {
+			return fmt.Errorf("kind %s under %s/", h.Kind, kind)
 		}
-		data, fp, err = open()
-	}
+		data = append([]byte(nil), mapped...)
+		fp = h.Fingerprint
+		return nil
+	})
 	return data, fp, err
 }
 

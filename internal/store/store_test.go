@@ -1,6 +1,9 @@
 package store
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -259,6 +262,51 @@ func TestRecallArtifactRoundtrip(t *testing.T) {
 	}
 	if _, err := s.GetRecall("nope"); err == nil {
 		t.Fatal("missing recall artifact accepted")
+	}
+}
+
+// TestPutMatrixRejectsRagged: matrices persist only in the binary
+// format, so a matrix its encoder refuses is an error, not a silently
+// different file, and nothing lands on disk.
+func TestPutMatrixRejectsRagged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ragged := &perfmatrix.Matrix{
+		Task: "nlp", Models: []string{"m0"}, Datasets: []string{"d0", "d1"}, Epochs: 2,
+		Entries: map[string]*perfmatrix.Entry{
+			"m0\x00d0": {Model: "m0", Dataset: "d0", Val: []float64{0.1, 0.2}, Test: []float64{0.1, 0.2}},
+		},
+	}
+	if err := s.PutMatrix("ragged", ragged); err == nil {
+		t.Fatal("ragged matrix persisted")
+	}
+	if entries, err := os.ReadDir(filepath.Join(dir, "matrices")); err != nil || len(entries) != 0 {
+		t.Fatalf("matrices/ after refused put: %v (err %v)", entries, err)
+	}
+}
+
+// TestJSONMatrixIsNotAnArtifact: a JSON file under matrices/ is not a
+// matrix — it is neither listed, read, nor served to fleet peers.
+func TestJSONMatrixIsNotAnArtifact(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "matrices", "x.json"), []byte(`{"task":"nlp"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := s.ListMatrices(); err != nil || len(names) != 0 {
+		t.Fatalf("ListMatrices = %v, %v", names, err)
+	}
+	if _, err := s.GetMatrix("x"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetMatrix: %v, want ErrNotFound", err)
+	}
+	if _, _, err := s.OpenArtifact("matrices", "x"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("OpenArtifact: %v, want ErrNotFound", err)
 	}
 }
 
